@@ -69,12 +69,13 @@ bench-gate:
 	$(PYTHON) -m pytest benchmarks/test_sharded_batched.py benchmarks/test_serving.py benchmarks/test_replicated.py benchmarks/test_dist_scaling.py benchmarks/test_wallclock.py benchmarks/test_obs_overhead.py benchmarks/test_multitenant.py -q
 	$(PYTHON) benchmarks/compare.py --baseline results/baselines --fresh . --tolerance 0.30 --wall-tolerance 0.60 --since results/baselines/.gate-start
 
-# Replication + distributed suites once more under the runtime invariant
-# sanitizer (repro.analysis.sanitize): every protocol transition is
-# checked live, so a lost update or stale-read bug fails loudly with an
-# event trace instead of as a silent convergence drift.
+# Replication, distributed, parallel and split/migrate suites once more
+# under the runtime invariant sanitizer (repro.analysis.sanitize): every
+# protocol transition — replica-group fan-out during a live split
+# included — is checked live, so a lost update or stale-read bug fails
+# loudly with an event trace instead of as a silent convergence drift.
 test-sanitize:
-	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_parallel.py -q
+	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_replication.py tests/test_distributed.py tests/test_analysis_sanitize.py tests/test_parallel.py tests/test_sharded.py tests/test_tenancy.py tests/test_partitioned.py -q
 
 # Prefer ruff (fast, wider net) when present; fall back to pyflakes,
 # then to the always-available compileall syntax check.  The repo's own

@@ -11,19 +11,23 @@ All three persist to real files and charge simulated I/O costs to a shared
 :class:`~repro.device.ssd.SSDModel`, so the Figure 7 buffer-size sweeps
 exercise genuine hit/miss paths in each engine.
 
-:mod:`repro.kv.sharded` composes any mix of them into a hash-partitioned
-:class:`~repro.kv.sharded.ShardedKVStore` for horizontal scale-out —
-with live ``split_shard``/``migrate_shard`` rescaling (copy-then-cutover
-under load) — and every engine overrides ``multi_get``/``multi_put``
-with genuinely batched hot paths (one epoch acquisition, WAL group
-commits, single leaf walks).  :mod:`repro.kv.replicated` stacks N-way
-replica groups on top for availability: synchronous write fan-out,
-divergence-bounded read routing, failover with hinted catch-up.
-:mod:`repro.kv.parallel` is the wall-clock variant of the sharded
-wrapper: the same routing, but each shard's engine lives in a forked
-worker process so batched fan-out uses real cores
-(:func:`~repro.kv.parallel.create_sharded_store` picks parallel or
-serial automatically).
+:mod:`repro.kv.sharded` is the one partitioned store built over them:
+:class:`~repro.kv.sharded.ShardedKVStore` routes keys through a slot
+table to *partitions* — each a plain engine (RF=1) or a
+:class:`~repro.kv.replicated.ReplicaGroup` of RF engines with
+synchronous write fan-out, divergence-bounded read routing and failover
+with hinted catch-up — and owns the routed-op counters, the stats sum,
+the coordinated checkpoint manifest and live ``split_shard`` /
+``migrate_shard`` rescaling (copy-then-cutover under load), whatever
+the replication factor.  Every engine overrides ``multi_get`` /
+``multi_put`` with genuinely batched hot paths (one epoch acquisition,
+WAL group commits, single leaf walks), and the store hands each
+partition one sub-batch.  :class:`~repro.kv.replicated.ReplicatedKVStore`
+builds the store over replica groups and adds the per-replica fault
+surface; :class:`~repro.kv.parallel.ParallelShardStore` runs the same
+store with each engine in a forked worker process so batched fan-out
+uses real cores (:func:`~repro.kv.parallel.create_sharded_store` picks
+parallel or serial automatically).
 """
 
 from repro.kv.api import CheckpointManager, KVStore, StoreStats

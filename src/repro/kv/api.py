@@ -11,7 +11,7 @@ import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from types import TracebackType
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import CheckpointError, StorageError
 
@@ -37,6 +37,11 @@ class StoreStats:
         """Hits over total lookups; 0.0 before any lookup."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+def type_name(obj: Any) -> str:
+    """Dotted class name a checkpoint manifest records to reopen ``obj``."""
+    return f"{type(obj).__module__}.{type(obj).__qualname__}"
 
 
 def walk_image_files(root: str) -> list[str]:
@@ -244,6 +249,19 @@ class KVStore(ABC):
     def snapshot_read_many(self, keys: Iterable[int]) -> list[Optional[bytes]]:
         """Batched :meth:`snapshot_read` preserving input order."""
         return self.multi_get(keys)
+
+    def fresh_read_many(self, keys: Iterable[int]) -> list[Optional[bytes]]:
+        """Batched committed reads reflecting every acknowledged write: an
+        engine's committed read is one (replica groups override this)."""
+        return self.snapshot_read_many(keys)
+
+    def engines(self) -> Sequence["KVStore"]:
+        """The engines holding this store's data (itself, for an engine)."""
+        return (self,)
+
+    def describe(self, relpath: Callable[["KVStore"], str]) -> tuple[Any, str]:
+        """``(location, class)`` of this store in a coordinated manifest."""
+        return relpath(self), type_name(self)
 
     def freeze(self) -> "KVStore":
         """Switch the store to read-only serving mode.

@@ -1,36 +1,30 @@
-"""Process-parallel shard fan-out for sharded stores.
+"""Process-parallel executor for the partitioned store.
 
-:class:`ParallelShardStore` executes the per-shard sub-batches of a
-hash-sharded store on a pool of **shared-nothing worker processes**: each
-worker owns a disjoint subset of the child engines (one engine per shard,
-built inside the worker after fork, so no file descriptor or page cache
-is shared), and a batched operation ships each worker exactly one
-request — the whole sub-batch as a single encoded buffer from
-:mod:`repro.kv.common.serialization` — and reads back exactly one reply
-buffer.  Eight shards on eight cores then decode, probe and re-encode
-their sub-batches genuinely concurrently, which is what the wall-clock
-fan-out benchmark measures.
+:class:`ParallelShardStore` is a :class:`~repro.kv.sharded.ShardedKVStore`
+whose engines live in **shared-nothing worker processes**: each worker
+owns a disjoint subset, built inside the worker after fork, so no file
+descriptor or page cache is shared.  Routing, counters, balance, the
+stats merge and the manifest are the one store's; this module adds only
+the executor.  A batched operation ships each worker exactly one request
+(the whole sub-batch as one encoded buffer from
+:mod:`repro.kv.common.serialization`) and reads back one reply buffer,
+so shards decode, probe and re-encode their sub-batches concurrently.
+Every other operation reaches its engine through a :class:`_WorkerShard`
+handle, one round trip per call.
 
-This is deliberately an *opt-in, wall-clock* layer: engines inside the
-workers keep their own private simulated clocks (a shared simulated
-timeline across processes would serialize them again), so parallel
-stores expose no ``clock``/``ssd`` attribute and the serving tier's
-simulated-time paths refuse them gracefully.  Use
-:func:`create_sharded_store` to get a :class:`ParallelShardStore` when
-the platform allows it and a plain serial
-:class:`~repro.kv.sharded.ShardedKVStore` otherwise — the two are
-drop-in interchangeable (same routing, same ordering contract, same
-coordinated checkpoint manifest, so either can restore the other's
-checkpoints).
+This is an opt-in, *wall-clock* layer: engines in the workers keep
+private simulated clocks, so parallel stores expose no ``clock``/``ssd``
+and the serving tier's simulated-time paths refuse them gracefully.
+:func:`create_sharded_store` picks parallel or serial; the two are
+drop-in interchangeable, checkpoints included.
 
 Protocol invariants (the deadlock-freedom argument):
 
 * The parent sends at most one in-flight request per worker, and a
-  request is at most two pipe messages (a pickled header, then an
-  optional raw payload buffer).  A worker is always blocked in ``recv``
+  request is at most two pipe messages (a pickled header, then for
+  batches a raw payload buffer).  A worker is always blocked in ``recv``
   when a request arrives, drains both messages before replying, and
-  replies with the same header(+payload) shape.  Pipes therefore never
-  carry more than one logical message per direction.
+  replies with the same header(+payload) shape.
 * Worker replies are read in worker order after all requests are sent,
   so independent workers overlap while the parent never waits on a
   worker it has not fed.
@@ -38,25 +32,23 @@ Protocol invariants (the deadlock-freedom argument):
 
 from __future__ import annotations
 
-import importlib
-import json
 import multiprocessing
 import os
 import pickle
 import sys
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.errors import CheckpointError, ConfigError, StorageError
-from repro.kv.api import CheckpointManager, KVStore, StoreStats
+from repro.kv.api import KVStore, StoreStats, type_name
 from repro.kv.common.serialization import (
     decode_records,
     decode_values,
     encode_records,
     encode_values,
 )
-from repro.kv.sharded import _MANIFEST, ShardedKVStore, partition_positions
+from repro.kv.sharded import ShardedKVStore
 from repro.obs import profile as obs_profile
 from repro.obs.trace import span as obs_span
 
@@ -97,158 +89,94 @@ def create_sharded_store(
     return ParallelShardStore(factory, num_shards, directory=directory, processes=processes)
 
 
+class _Unshippable(Exception):
+    """A ``multi_rmw`` update that cannot run inside the workers."""
+
+
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
+def _serve_call(engines: dict, shard: int, verb: str, args: tuple):
+    """One single-engine request from a :class:`_WorkerShard` handle."""
+    engine = engines[shard]
+    if verb == "scan":
+        return list(engine.scan())
+    if verb == "len":
+        return len(engine)
+    if verb == "stats":
+        return engine.stats
+    if verb == "freeze":
+        engine.freeze()
+        return None
+    if verb == "checkpoint":
+        snap = getattr(engine, "checkpoint", None)
+        if snap is not None:
+            snap()
+        return getattr(engine, "directory", None), type_name(engine)
+    if verb == "close":
+        engines.pop(shard).close()
+        return None
+    return getattr(engine, verb)(*args)  # get / put / delete / snapshot_read
+
+
+def _serve_batch(engines: dict, op: str, entries: list, payload: bytes, update: bytes):
+    """One combined sub-batch request: ``entries`` is ``[(shard, count)]``
+    over the keys (or records, for ``multi_put``) in ``payload``.
+    Returns the reply's ``(meta, payload)``."""
+    if op == "multi_put":
+        records = decode_records(payload, copy=True)
+        for shard, count in entries:
+            pairs = [next(records) for _ in range(count)]
+            engines[shard].multi_put(
+                [key for key, _ in pairs], [value for _, value in pairs]
+            )
+        return None, b""
+    keys = np.frombuffer(payload, dtype=np.uint64)
+    args: tuple = ()
+    if op == "multi_rmw":
+        try:
+            args = (pickle.loads(update),)
+        except Exception as exc:  # repro: lint-ignore[REP004]
+            # Unpickling can raise nearly anything (a __main__ function
+            # defined after the fork surfaces as AttributeError).  Not
+            # swallowed: replied to the parent before touching any
+            # engine, so it can safely run the op itself.
+            raise _Unshippable(repr(exc)) from exc
+    answers, offset = [], 0
+    for shard, count in entries:
+        sub_keys = keys[offset:offset + count].tolist()
+        offset += count
+        engine = engines[shard]
+        if op == "lookahead" and not hasattr(engine, "lookahead"):
+            answers.append(0)  # staging is MLKV-only, outside the KVStore contract
+        else:
+            answers.append(getattr(engine, op)(sub_keys, *args))
+    if op == "lookahead":
+        return answers, b""
+    flat = [value for answer in answers for value in answer]
+    return len(flat), bytes(encode_values(flat))
+
+
 def _worker_main(shard_indices, factory, conn) -> None:
-    """Own a subset of engines; serve one request at a time until close."""
+    """Own a subset of engines; serve one request at a time until each
+    engine is closed."""
     engines = {index: factory(index) for index in shard_indices}
-    while True:
+    while engines:
         try:
             message = conn.recv()
         except EOFError:
             break
-        op = message[0]
         try:
-            if op == "multi_get" or op == "snapshot_read_many":
-                _, entries = message
-                keys = np.frombuffer(conn.recv_bytes(), dtype=np.uint64)
-                results: list = []
-                offset = 0
-                for shard, count in entries:
-                    sub_keys = keys[offset : offset + count].tolist()
-                    offset += count
-                    engine = engines[shard]
-                    read = (
-                        engine.multi_get
-                        if op == "multi_get"
-                        else engine.snapshot_read_many
-                    )
-                    results.extend(read(sub_keys))
-                conn.send(("ok", len(results)))
-                conn.send_bytes(bytes(encode_values(results)))
-            elif op == "multi_put":
-                _, entries = message
-                records = decode_records(conn.recv_bytes(), copy=True)
-                for shard, count in entries:
-                    sub_keys: list[int] = []
-                    sub_values: list[bytes] = []
-                    for _ in range(count):
-                        key, value = next(records)
-                        sub_keys.append(key)
-                        sub_values.append(value)
-                    engines[shard].multi_put(sub_keys, sub_values)
-                conn.send(("ok", None))
-            elif op == "multi_rmw":
-                _, entries, update_bytes = message
-                keys = np.frombuffer(conn.recv_bytes(), dtype=np.uint64)
-                try:
-                    update = pickle.loads(update_bytes)
-                except Exception as exc:  # repro: lint-ignore[REP004]
-                    # Unpickling can raise nearly anything (a __main__
-                    # function defined after the fork surfaces as
-                    # AttributeError).  Not swallowed: replied to the
-                    # parent before touching any engine, so it can safely
-                    # run the op itself.
-                    conn.send(("nopickle", exc))
-                    continue
-                new_values: list = []
-                offset = 0
-                for shard, count in entries:
-                    sub_keys = keys[offset : offset + count].tolist()
-                    offset += count
-                    new_values.extend(engines[shard].multi_rmw(sub_keys, update))
-                conn.send(("ok", len(new_values)))
-                conn.send_bytes(bytes(encode_values(new_values)))
-            elif op == "lookahead":
-                _, entries = message
-                keys = np.frombuffer(conn.recv_bytes(), dtype=np.uint64)
-                moved = 0
-                offset = 0
-                for shard, count in entries:
-                    sub_keys = keys[offset : offset + count].tolist()
-                    offset += count
-                    stage = getattr(engines[shard], "lookahead", None)
-                    if stage is not None:
-                        moved += stage(sub_keys)
-                conn.send(("ok", moved))
-            elif op == "single":
-                _, verb, shard, key, value = message
-                engine = engines[shard]
-                if verb == "get":
-                    conn.send(("ok", engine.get(key)))
-                elif verb == "snapshot_read":
-                    conn.send(("ok", engine.snapshot_read(key)))
-                elif verb == "put":
-                    engine.put(key, value)
-                    conn.send(("ok", None))
-                else:  # delete
-                    conn.send(("ok", engine.delete(key)))
-            elif op == "stats":
-                merged = []
-                for index in shard_indices:
-                    child = engines[index].stats
-                    merged.append(
-                        (
-                            index,
-                            child.gets,
-                            child.puts,
-                            child.deletes,
-                            child.hits,
-                            child.misses,
-                            dict(child.extra),
-                        )
-                    )
-                conn.send(("ok", merged))
-            elif op == "count":
-                total = 0
-                for engine in engines.values():
-                    try:
-                        total += len(engine)  # type: ignore[arg-type]
-                    except TypeError:
-                        total += sum(1 for _ in engine.scan())
-                conn.send(("ok", total))
-            elif op == "scan":
-                per_shard = []
-                chunks = []
-                for index in shard_indices:
-                    items = list(engines[index].scan())
-                    per_shard.append((index, len(items)))
-                    if items:
-                        chunks.append(
-                            encode_records(
-                                [key for key, _ in items],
-                                [value for _, value in items],
-                            )
-                        )
-                conn.send(("ok", per_shard))
-                conn.send_bytes(b"".join(bytes(chunk) for chunk in chunks))
-            elif op == "freeze":
-                for engine in engines.values():
-                    engine.freeze()
-                conn.send(("ok", None))
-            elif op == "checkpoint":
-                layout = []
-                for index in shard_indices:
-                    engine = engines[index]
-                    snap = getattr(engine, "checkpoint", None)
-                    if snap is not None:
-                        snap()
-                    layout.append(
-                        (
-                            index,
-                            getattr(engine, "directory", None),
-                            f"{type(engine).__module__}.{type(engine).__qualname__}",
-                        )
-                    )
-                conn.send(("ok", layout))
-            elif op == "close":
-                for engine in engines.values():
-                    engine.close()
-                conn.send(("ok", None))
-                break
+            if message[0] == "call":
+                _, shard, verb, args = message
+                conn.send(("ok", _serve_call(engines, shard, verb, args)))
             else:
-                conn.send(("err", ConfigError(f"unknown worker op {op!r}")))
+                _, op, entries, update = message
+                meta, payload = _serve_batch(engines, op, entries, conn.recv_bytes(), update)
+                conn.send(("ok", meta))
+                conn.send_bytes(payload)
+        except _Unshippable as exc:
+            conn.send(("nopickle", exc))
         except BaseException as exc:  # repro: lint-ignore[REP004]
             # Not swallowed: every failure is relayed to the parent, which
             # re-raises it on the calling thread.
@@ -264,14 +192,82 @@ def _worker_main(shard_indices, factory, conn) -> None:
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
-class ParallelShardStore(KVStore, CheckpointManager):
-    """Hash-sharded store whose engines live in worker processes.
+class _WorkerShard(KVStore):
+    """Parent-side handle on one engine living in a worker process.
 
-    Routing is identical to :class:`~repro.kv.sharded.ShardedKVStore`
-    (same splitmix64 slot table), so a data set written through one
-    wrapper reads back identically through the other.  Live migration is
-    not supported in parallel mode — rescale through the serial wrapper,
-    then reopen in parallel.
+    This is the partition the one store routes to: every call is one
+    request/reply round trip to the owning worker (``rmw`` and the
+    batched defaults compose them; the store's fan-out never uses
+    them).  ``close`` takes a final counter snapshot first, so ``stats``
+    stays readable after the worker is gone.
+    """
+
+    def __init__(self, store: "ParallelShardStore", index: int) -> None:
+        self._store = store
+        self.index = index
+        self.directory: Optional[str] = None
+        self.engine_type: Optional[str] = None
+        self._final_stats: Optional[StoreStats] = None
+
+    def _call(self, verb: str, *args):
+        return self._store._call(self.index, verb, *args)
+
+    def get(self, key: int) -> Optional[bytes]:
+        return self._call("get", key)
+
+    def snapshot_read(self, key: int) -> Optional[bytes]:
+        return self._call("snapshot_read", key)
+
+    def put(self, key: int, value: bytes) -> None:
+        self._call("put", key, bytes(value))
+
+    def delete(self, key: int) -> bool:
+        return bool(self._call("delete", key))
+
+    def scan(self):
+        return iter(self._call("scan"))
+
+    def __len__(self) -> int:
+        return self._call("len")
+
+    def freeze(self) -> "_WorkerShard":
+        self._call("freeze")
+        return self
+
+    def checkpoint(self) -> None:
+        self.directory, self.engine_type = self._call("checkpoint")
+
+    def describe(self, relpath: Callable) -> tuple:
+        return relpath(self), self.engine_type
+
+    @classmethod
+    def restore(cls, directory: str, **kwargs):
+        raise CheckpointError("ParallelShardStore.restore reopens engines inside the workers")
+
+    @property
+    def stats(self) -> StoreStats:
+        if self._final_stats is not None:
+            return self._final_stats
+        return self._call("stats")
+
+    def close(self) -> None:
+        try:
+            self._final_stats = self._call("stats")
+        except (EOFError, OSError, StorageError):
+            pass  # a dead worker forfeits its final counters, not close()
+        try:
+            self._call("close")
+        except (EOFError, OSError):
+            pass  # the worker is already gone
+
+
+class ParallelShardStore(ShardedKVStore):
+    """Sharded store whose engines live in worker processes.
+
+    Routing is the one store's (same splitmix64 slot table), so a data
+    set written through one executor reads back identically through the
+    other.  Live migration is not supported in parallel mode — rescale
+    through the serial store, then reopen in parallel.
     """
 
     def __init__(
@@ -281,30 +277,18 @@ class ParallelShardStore(KVStore, CheckpointManager):
         directory: Optional[str] = None,
         processes: Optional[int] = None,
     ) -> None:
-        if num_shards <= 0:
-            raise ConfigError(f"num_shards must be positive, got {num_shards}")
         if not fork_available():
             raise ConfigError(
                 "ParallelShardStore needs the fork start method; use "
                 "create_sharded_store() for a portable fallback"
             )
+        super().__init__(lambda index: _WorkerShard(self, index), num_shards, directory)
         if processes is None:
             processes = min(num_shards, os.cpu_count() or 1)
         if processes <= 0:
             raise ConfigError(f"processes must be positive, got {processes}")
-        self.num_shards = num_shards
-        self.directory = directory
         self.processes = min(processes, num_shards)
-        self._slots = list(range(num_shards))
-        self._shard_ops = [0] * num_shards
         self._owner = [index % self.processes for index in range(num_shards)]
-        self._types: list[Optional[str]] = [None] * num_shards
-        self._shard_dirs: list[Optional[str]] = [None] * num_shards
-        self._closed = False
-        # Last merged worker-counter snapshot: close() takes a final one
-        # before tearing the workers down, so `stats` stays faithful (and
-        # readable) after the engines' processes are gone.
-        self._stats_cache: Optional[StoreStats] = None
         context = multiprocessing.get_context("fork")
         self._workers = []
         for worker_index in range(self.processes):
@@ -326,415 +310,122 @@ class ParallelShardStore(KVStore, CheckpointManager):
         if self._closed:
             raise StorageError("parallel store is closed")
 
-    def _recv(self, conn):
-        """Read one reply header, raising any relayed worker exception."""
+    def _call(self, shard: int, verb: str, *args):
+        """One request/one reply against the worker owning ``shard``."""
+        self._check_open()
+        _, conn = self._workers[self._owner[shard]]
+        conn.send(("call", shard, verb, args))
         status, payload = conn.recv()
         if status != "ok":
             raise payload
         return payload
 
-    def _drain(self, sent, with_payload: bool = False):
-        """Collect one reply from every worker in ``sent``.
-
-        Always drains all pending replies — even after a failure — so the
-        pipes stay in lockstep for the next operation; only then does a
-        relayed exception propagate.  Returns ``{worker: (meta, payload)}``
-        plus the list of ``(status, exception)`` failures for callers
-        (``multi_rmw``) that can recover from specific statuses.
-        """
-        replies: dict[int, tuple] = {}
-        failures: list[tuple[str, BaseException]] = []
-        for worker_index in sent:
-            _, conn = self._workers[worker_index]
-            status, meta = conn.recv()
-            if status == "ok":
-                payload = conn.recv_bytes() if with_payload else None
-                replies[worker_index] = (meta, payload)
-            else:
-                failures.append((status, meta))
-        return replies, failures
-
-    @staticmethod
-    def _raise_failures(failures) -> None:
-        for status, exc in failures:
-            raise exc
-
-    def _call_worker(self, worker_index: int, message, payload: Optional[bytes] = None):
-        """One request/one reply against a single worker (single-key ops)."""
-        _, conn = self._workers[worker_index]
-        conn.send(message)
-        if payload is not None:
-            conn.send_bytes(payload)
-        return self._recv(conn)
-
-    def _partition(self, keys: list) -> dict[int, list[int]]:
-        return partition_positions(keys, self._slots)
-
-    def _group_by_worker(
-        self, by_shard: dict[int, list[int]]
-    ) -> dict[int, list[tuple[int, list[int]]]]:
-        """Collapse per-shard position groups into per-worker request lists."""
-        by_worker: dict[int, list[tuple[int, list[int]]]] = {}
-        for shard, positions in by_shard.items():
-            self._shard_ops[shard] += len(positions)
-            by_worker.setdefault(self._owner[shard], []).append((shard, positions))
-        return by_worker
-
-    def _fan_out_read(self, keys: list, op: str) -> list:
-        """Ship one combined read request per worker; scatter the replies."""
+    def _dispatch(self, op: str, keys: list, values, by_shard: dict, *args) -> list:
+        """Ship one combined request per worker; split the replies back
+        into one result per sub-batch (``multi_rmw`` takes its update
+        already pickled).  Every pending reply is drained — even after a
+        failure — so the pipes stay in lockstep for the next operation;
+        only then does a relayed exception propagate."""
         self._check_open()
+        update = args[0] if op == "multi_rmw" else b""
         with obs_span("kv.parallel_fanout", op=op, keys=len(keys)):
-            results: list = [None] * len(keys)
             dispatch_token = obs_profile.begin()
-            by_worker = self._group_by_worker(self._partition(keys))
-            key_arr = np.asarray(keys, dtype=np.uint64) if keys else None
-            sent: list[tuple[int, list[tuple[int, list[int]]]]] = []
+            by_worker: dict[int, list[tuple[int, list[int]]]] = {}
+            for shard, positions in by_shard.items():
+                by_worker.setdefault(self._owner[shard], []).append((shard, positions))
+            key_arr = None if op == "multi_put" else np.asarray(keys, dtype=np.uint64)
             for worker_index, entries in by_worker.items():
-                flat_positions = [p for _, positions in entries for p in positions]
+                flat = [position for _, positions in entries for position in positions]
                 _, conn = self._workers[worker_index]
-                conn.send((op, [(shard, len(positions)) for shard, positions in entries]))
-                conn.send_bytes(key_arr[flat_positions].tobytes())
-                sent.append((worker_index, entries))
+                counts = [(shard, len(positions)) for shard, positions in entries]
+                conn.send(("batch", op, counts, update))
+                if op == "multi_put":
+                    sub_keys = [keys[position] for position in flat]
+                    sub_values = [values[position] for position in flat]
+                    conn.send_bytes(bytes(encode_records(sub_keys, sub_values)))
+                else:
+                    conn.send_bytes(key_arr[flat].tobytes())
             obs_profile.end("parallel.dispatch", dispatch_token, units=len(keys))
             collect_token = obs_profile.begin()
-            replies, failures = self._drain([w for w, _ in sent], with_payload=True)
-            self._raise_failures(failures)
-            for worker_index, entries in sent:
-                count, payload = replies[worker_index]
-                values = decode_values(payload, count)
-                cursor = 0
-                for _, positions in entries:
-                    for position in positions:
-                        results[position] = values[cursor]
-                        cursor += 1
-            obs_profile.end("parallel.collect", collect_token, units=len(keys))
-            return results
-
-    # ------------------------------------------------------------------
-    # KVStore interface
-    # ------------------------------------------------------------------
-    def shard_of(self, key: int) -> int:
-        """Owning shard index for a key (same hash as ShardedKVStore)."""
-        from repro.kv.sharded import shard_hash
-
-        return self._slots[shard_hash(key) % len(self._slots)]
-
-    def get(self, key: int) -> Optional[bytes]:
-        """Single-key read routed to the owning shard process."""
-        self._check_open()
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        return self._call_worker(self._owner[shard], ("single", "get", shard, key, None))
-
-    def snapshot_read(self, key: int) -> Optional[bytes]:
-        """Committed single-key read routed to the owning shard process."""
-        self._check_open()
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        return self._call_worker(
-            self._owner[shard], ("single", "snapshot_read", shard, key, None)
-        )
-
-    def put(self, key: int, value: bytes) -> None:
-        """Single-key write routed to the owning shard process."""
-        self._check_open()
-        self._check_writable()
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        if not isinstance(value, bytes):
-            value = bytes(value)
-        self._call_worker(self._owner[shard], ("single", "put", shard, key, value))
-
-    def delete(self, key: int) -> bool:
-        """Single-key delete routed to the owning shard process."""
-        self._check_open()
-        self._check_writable()
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        return bool(
-            self._call_worker(self._owner[shard], ("single", "delete", shard, key, None))
-        )
-
-    def multi_get(self, keys) -> list:
-        """Batched reads fanned out to the shard processes in parallel."""
-        keys = self._normalize_keys(keys)
-        return self._fan_out_read(keys, "multi_get")
-
-    def snapshot_read_many(self, keys) -> list:
-        """Batched committed reads fanned out to the shard processes."""
-        keys = self._normalize_keys(keys)
-        return self._fan_out_read(keys, "snapshot_read_many")
-
-    def read_committed_many(self, keys) -> list:
-        """Training-side alias of :meth:`snapshot_read_many`."""
-        return self.snapshot_read_many(keys)
-
-    def multi_put(self, keys, values) -> None:
-        """One combined encoded record buffer per worker, sent in parallel."""
-        self._check_open()
-        self._check_writable()
-        keys, values = self._normalize_pairs(keys, values)
-        with obs_span("kv.parallel_fanout", op="multi_put", keys=len(keys)):
-            dispatch_token = obs_profile.begin()
-            by_worker = self._group_by_worker(self._partition(keys))
-            sent = []
-            for worker_index, entries in by_worker.items():
-                sub_keys = [keys[p] for _, positions in entries for p in positions]
-                sub_values = [values[p] for _, positions in entries for p in positions]
+            replies: dict[int, tuple] = {}
+            failures: list[tuple[str, BaseException]] = []
+            for worker_index in by_worker:
                 _, conn = self._workers[worker_index]
-                conn.send(
-                    ("multi_put", [(shard, len(positions)) for shard, positions in entries])
-                )
-                conn.send_bytes(bytes(encode_records(sub_keys, sub_values)))
-                sent.append(worker_index)
-            obs_profile.end("parallel.dispatch", dispatch_token, units=len(keys))
-            collect_token = obs_profile.begin()
-            _, failures = self._drain(sent)
-            self._raise_failures(failures)
+                status, meta = conn.recv()
+                if status == "ok":
+                    replies[worker_index] = (meta, conn.recv_bytes())
+                else:
+                    failures.append((status, meta))
+            if failures:
+                if not replies and all(status == "nopickle" for status, _ in failures):
+                    # Pickled here but no worker could load it (a
+                    # __main__ function defined after the fork); nothing
+                    # was applied.
+                    raise _Unshippable(str(failures[0][1]))
+                raise failures[0][1]
+            answers: dict[int, object] = {}  # multi_put answers nothing
+            for worker_index, entries in by_worker.items():
+                meta, payload = replies[worker_index]
+                if op == "lookahead":
+                    answers.update(zip((shard for shard, _ in entries), meta))
+                elif op != "multi_put":
+                    decoded, cursor = decode_values(payload, meta), 0
+                    for shard, positions in entries:
+                        answers[shard] = decoded[cursor:cursor + len(positions)]
+                        cursor += len(positions)
             obs_profile.end("parallel.collect", collect_token, units=len(keys))
+            return [answers.get(shard) for shard in by_shard]
 
     def multi_rmw(self, keys, update) -> list:
         """Server-side batched RMW when ``update`` ships; central otherwise.
 
         A picklable ``update`` runs inside the workers (one invocation
-        per shard sub-batch, which the :meth:`KVStore.multi_rmw` contract
-        allows), so the read, the transform and the write all stay on the
-        worker cores.  An unpicklable ``update`` (a closure over live
-        state) falls back to the default read-transform-write in the
-        parent, with the reads and writes still fanned out in parallel.
+        per shard sub-batch), so the read, the transform and the write
+        all stay on the worker cores.  An unpicklable ``update`` (a
+        closure over live state) falls back to the default
+        read-transform-write in the parent, with the reads and writes
+        still fanned out in parallel.  The pickle is tried before any
+        key is routed, so the fallback's routed-op counts are its own.
         """
-        self._check_open()
-        self._check_writable()
         keys = self._normalize_keys(keys)
         try:
-            update_bytes = pickle.dumps(update)
+            shipped = pickle.dumps(update)
         except Exception:  # repro: lint-ignore[REP004]
             # Closures over live state cannot ship; fall back to the
             # central read-transform-write (reads/writes still fan out).
             return KVStore.multi_rmw(self, keys, update)
-        results: list = [None] * len(keys)
-        by_worker = self._group_by_worker(self._partition(keys))
-        key_arr = np.asarray(keys, dtype=np.uint64) if keys else None
-        sent = []
-        for worker_index, entries in by_worker.items():
-            flat_positions = [p for _, positions in entries for p in positions]
-            _, conn = self._workers[worker_index]
-            conn.send(
-                (
-                    "multi_rmw",
-                    [(shard, len(positions)) for shard, positions in entries],
-                    update_bytes,
-                )
-            )
-            conn.send_bytes(key_arr[flat_positions].tobytes())
-            sent.append((worker_index, entries))
-        replies, failures = self._drain([w for w, _ in sent], with_payload=True)
-        if failures:
-            if not replies and all(status == "nopickle" for status, _ in failures):
-                # The update pickled here but no worker could load it (a
-                # __main__ function defined after the fork).  Nothing was
-                # applied, so the central read-transform-write is safe.
-                return KVStore.multi_rmw(self, keys, update)
-            self._raise_failures(failures)
-        for worker_index, entries in sent:
-            count, payload = replies[worker_index]
-            values = decode_values(payload, count)
-            cursor = 0
-            for _, positions in entries:
-                for position in positions:
-                    results[position] = values[cursor]
-                    cursor += 1
-        return results
+        try:
+            return self._fan_out("multi_rmw", keys, shipped)
+        except _Unshippable:
+            return KVStore.multi_rmw(self, keys, update)
 
-    def lookahead(self, keys) -> int:
-        """Fan a prefetch batch out to shards that support staging."""
-        self._check_open()
-        keys = self._normalize_keys(keys)
-        by_worker = self._group_by_worker(self._partition(keys))
-        key_arr = np.asarray(keys, dtype=np.uint64) if keys else None
-        sent = []
-        for worker_index, entries in by_worker.items():
-            flat_positions = [p for _, positions in entries for p in positions]
-            _, conn = self._workers[worker_index]
-            conn.send(
-                ("lookahead", [(shard, len(positions)) for shard, positions in entries])
-            )
-            conn.send_bytes(key_arr[flat_positions].tobytes())
-            sent.append(worker_index)
-        replies, failures = self._drain(sent)
-        self._raise_failures(failures)
-        return sum(meta for meta, _ in replies.values())
+    # ------------------------------------------------------------------
+    # refused: engines are built inside the workers, never in the parent
+    # ------------------------------------------------------------------
+    def begin_split(self, shard_index: int, factory: Callable[[int], KVStore]):
+        """Refused: live splits and migrations run on the serial store."""
+        raise ConfigError(
+            "live migration is not supported in parallel mode; rescale "
+            "through the serial store, then reopen in parallel"
+        )
 
-    def scan(self) -> Iterator[tuple[int, bytes]]:
-        """All live records, collected eagerly then yielded.
+    begin_migrate = begin_split
 
-        Replies are fully drained before the first record is yielded so an
-        abandoned iterator can never leave a reply stuck in a pipe.
-        """
-        self._check_open()
-        sent = list(range(len(self._workers)))
-        for _, conn in self._workers:
-            conn.send(("scan",))
-        replies, failures = self._drain(sent, with_payload=True)
-        self._raise_failures(failures)
-        for worker_index in sent:
-            per_shard, buffer = replies[worker_index]
-            expected = sum(count for _, count in per_shard)
-            records = list(decode_records(buffer, copy=True))
-            if len(records) != expected:
-                raise StorageError(
-                    f"scan reply held {len(records)} records, worker "
-                    f"reported {expected}"
-                )
-            yield from records
-
-    def __len__(self) -> int:
-        self._check_open()
-        for _, conn in self._workers:
-            conn.send(("count",))
-        replies, failures = self._drain(range(len(self._workers)))
-        self._raise_failures(failures)
-        return sum(meta for meta, _ in replies.values())
-
-    def freeze(self) -> "ParallelShardStore":
-        """Freeze every worker-side engine, then the wrapper itself."""
-        self._check_open()
-        for _, conn in self._workers:
-            conn.send(("freeze",))
-        _, failures = self._drain(range(len(self._workers)))
-        self._raise_failures(failures)
-        self.read_only = True
-        return self
+    @classmethod
+    def from_stores(cls, stores, directory: Optional[str] = None):
+        """Refused: wrap existing engines in a serial ShardedKVStore."""
+        raise ConfigError("ParallelShardStore builds its engines inside worker processes")
 
     def close(self) -> None:
-        """Shut down the worker processes and close every shard."""
+        """Close every shard, then shut the worker processes down."""
         if self._closed:
             return
-        # Final counter snapshot before the workers die — without it the
-        # worker-side StoreStats would be lost with the processes and a
-        # post-run `stats` read would see nothing (or raise).
-        try:
-            self._stats_cache = self._collect_stats()
-        except (EOFError, OSError, BrokenPipeError, StorageError):
-            pass  # a dead worker forfeits its final counters, not close()
-        self._closed = True
+        super().close()
         for process, conn in self._workers:
-            try:
-                conn.send(("close",))
-            except (BrokenPipeError, OSError):
-                continue
-        for process, conn in self._workers:
-            try:
-                status, payload = conn.recv()
-            except (EOFError, OSError):
-                pass
             conn.close()
             process.join(timeout=10)
             if process.is_alive():
                 process.terminate()
-
-    # ------------------------------------------------------------------
-    # stats & balance
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> StoreStats:
-        """Aggregated snapshot of all worker-side engine counters.
-
-        Live stores fetch fresh counters from every worker; a closed
-        store answers from the final snapshot :meth:`close` took before
-        tearing the workers down, so the counters a run accumulated are
-        never lost with the worker processes.
-        """
-        if self._closed:
-            if self._stats_cache is not None:
-                return self._stats_cache
-            raise StorageError(
-                "parallel store is closed and its workers died before a "
-                "final stats snapshot could be taken"
-            )
-        total = self._collect_stats()
-        self._stats_cache = total
-        return total
-
-    def _collect_stats(self) -> StoreStats:
-        """One stats round trip to every worker, merged into one view."""
-        for _, conn in self._workers:
-            conn.send(("stats",))
-        replies, failures = self._drain(range(len(self._workers)))
-        self._raise_failures(failures)
-        total = StoreStats()
-        per_shard_extra: list[dict] = [dict() for _ in range(self.num_shards)]
-        for meta, _ in replies.values():
-            for index, gets, puts, deletes, hits, misses, extra in meta:
-                total.gets += gets
-                total.puts += puts
-                total.deletes += deletes
-                total.hits += hits
-                total.misses += misses
-                per_shard_extra[index] = extra
-        total.extra["shard_ops"] = list(self._shard_ops)
-        total.extra["shards"] = per_shard_extra
-        return total
-
-    def balance(self) -> list[int]:
-        """Operations routed to each shard since construction."""
-        return list(self._shard_ops)
-
-    def imbalance(self) -> float:
-        """Max/mean ratio of routed ops (1.0 = perfectly balanced)."""
-        total = sum(self._shard_ops)
-        if total == 0:
-            return 1.0
-        return max(self._shard_ops) / (total / self.num_shards)
-
-    # ------------------------------------------------------------------
-    # coordinated checkpoint / restore
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> None:
-        """Checkpoint every worker-side engine, then bind one manifest.
-
-        The manifest is byte-compatible with the serial wrapper's, so a
-        parallel checkpoint restores through
-        :meth:`ShardedKVStore.restore` and vice versa.
-        """
-        self._check_open()
-        for _, conn in self._workers:
-            conn.send(("checkpoint",))
-        replies, failures = self._drain(range(len(self._workers)))
-        self._raise_failures(failures)
-        for meta, _ in replies.values():
-            for index, shard_dir, type_name in meta:
-                self._shard_dirs[index] = shard_dir
-                self._types[index] = type_name
-        if self.directory is None:
-            return
-        os.makedirs(self.directory, exist_ok=True)
-        relpaths = []
-        for index, shard_dir in enumerate(self._shard_dirs):
-            if shard_dir is None:
-                raise CheckpointError(
-                    f"shard {index} has no directory; coordinated checkpoints "
-                    "need file-backed children"
-                )
-            rel = os.path.relpath(
-                os.path.abspath(shard_dir), os.path.abspath(self.directory)
-            )
-            if rel.startswith(os.pardir):
-                raise CheckpointError(
-                    f"shard directory {shard_dir} is outside the coordinated "
-                    f"base {self.directory}"
-                )
-            relpaths.append(rel)
-        manifest = {
-            "num_shards": self.num_shards,
-            "shards": relpaths,
-            "types": list(self._types),
-            "slots": list(self._slots),
-        }
-        tmp = os.path.join(self.directory, _MANIFEST + ".tmp")
-        with open(tmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(tmp, os.path.join(self.directory, _MANIFEST))
 
     @classmethod
     def restore(
@@ -746,33 +437,22 @@ class ParallelShardStore(KVStore, CheckpointManager):
     ) -> "ParallelShardStore":
         """Reopen a coordinated checkpoint with worker-process shards.
 
-        Accepts the same manifests :meth:`ShardedKVStore.checkpoint`
-        writes.  ``factory(index, shard_dir)`` rebuilds one child inside
-        its worker; when omitted each child's recorded class is imported
-        and restored with ``kwargs``.  Slot tables with migrations applied
-        are rejected — reopen migrated stores serially.
+        Accepts the manifests :meth:`ShardedKVStore.checkpoint` writes;
+        each engine is rebuilt inside its worker (``factory(index,
+        shard_dir)``, else its recorded class's ``restore`` with
+        ``kwargs``).  Slot tables with migrations applied are rejected —
+        reopen migrated stores serially.
         """
-        manifest_path = os.path.join(directory, _MANIFEST)
-        if not os.path.exists(manifest_path):
-            raise CheckpointError(f"no coordinated manifest in {directory}")
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        slots = manifest.get("slots")
-        if slots is not None and slots != list(range(manifest["num_shards"])):
+        manifest = cls._read_manifest(directory)
+        count = len(manifest["shards"])
+        if manifest["slots"] != list(range(count)):
             raise CheckpointError(
                 "manifest has a migrated slot table; parallel restore only "
                 "supports identity routing — restore serially instead"
             )
-        shard_dirs = [os.path.join(directory, rel) for rel in manifest["shards"]]
-        type_names = manifest["types"]
-
-        def build(index: int) -> KVStore:
-            if factory is not None:
-                return factory(index, shard_dirs[index])
-            module_name, _, class_name = type_names[index].rpartition(".")
-            shard_cls = getattr(importlib.import_module(module_name), class_name)
-            return shard_cls.restore(shard_dirs[index], **kwargs)
-
         return cls(
-            build, manifest["num_shards"], directory=directory, processes=processes
+            lambda index: cls._reopen(directory, manifest, index, factory, kwargs),
+            count,
+            directory=directory,
+            processes=processes,
         )

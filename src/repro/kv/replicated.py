@@ -1,21 +1,20 @@
-"""N-way replicated composition of sharded key-value engines.
+"""Replica groups: the availability dimension of the partitioned store.
 
-:class:`ReplicatedKVStore` is the availability layer on top of the
-hash-sharded scale-out layer: every shard becomes a :class:`ReplicaGroup`
-of N independent engine instances holding the same key range.  Writes fan
-out to every live replica synchronously; reads route to **one** replica
-per shard, so read throughput is unchanged by the replication factor and
-a failed replica costs availability nothing — the router simply stops
-picking it.
+A :class:`ReplicaGroup` is a :class:`~repro.kv.api.KVStore` partition of
+N independent engines holding the same key range.  Writes fan out to
+every live replica synchronously; reads route to **one** replica, so
+read throughput is unchanged by the replication factor and a failed
+replica costs availability nothing.  :class:`ReplicatedKVStore` is the
+:class:`~repro.kv.sharded.ShardedKVStore` built over such groups, plus
+the fault surface that addresses them by ``(shard, replica)``.
 
-Consistency reuses the paper's machinery instead of inventing a new
-mode: each group keeps a :class:`~repro.device.clock.ReplicaVersionClock`
-— the vector-clock staleness bound of MLKV applied at replica
-granularity.  A replica's *lag* is the number of group writes it has not
-applied (normally zero: fan-out is synchronous; failures and deliberate
-catch-up-free revivals make it positive), and the ``divergence_bound``
-admits a replica for reads only while its lag is within the bound — the
-same staleness contract bounded stores give individual records.
+Consistency reuses the paper's machinery: each group keeps a
+:class:`~repro.device.clock.ReplicaVersionClock`, the vector-clock
+staleness bound of MLKV applied at replica granularity.  A replica's
+*lag* is the number of group writes it has not applied, and the
+``divergence_bound`` admits it for reads only while its lag is within
+the bound.  Reads whose result is written back (``rmw``) or copied
+elsewhere (live migration) always use a lag-0 replica instead.
 
 Failure handling:
 
@@ -23,13 +22,10 @@ Failure handling:
   continue on the survivors; each key written while a replica is down is
   recorded as a **hint** against it (hinted handoff).
 * :meth:`~ReplicatedKVStore.revive_replica` brings it back: hinted keys
-  are re-read from an up-to-date peer (``snapshot_read_many`` — the
-  committed-read path checkpoints restore through) and replayed onto the
-  reviving replica, after which its clock acknowledges the current group
-  version.  If the hint set overflowed ``max_hints`` while it was down,
-  the replica is instead rebuilt wholesale from a peer's ``scan()`` —
-  the degenerate case where replaying a WAL-sized delta would cost more
-  than re-shipping the image.
+  are re-read from an up-to-date peer and replayed onto the reviving
+  replica, after which its clock acknowledges the current group version.
+  If the hint set overflowed ``max_hints`` while it was down, the replica
+  is instead rebuilt wholesale from a peer's ``scan()``.
 * :meth:`~ReplicatedKVStore.slow_replica` injects per-operation latency
   on one replica (a degraded disk, a noisy neighbor); the read router
   prefers un-slowed admissible replicas, so a slow replica is routed
@@ -38,43 +34,66 @@ Failure handling:
 
 from __future__ import annotations
 
-import importlib
-import json
 import os
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.device.clock import ReplicaVersionClock
 from repro.errors import CheckpointError, ConfigError, StorageError
-from repro.kv.api import CheckpointManager, KVStore, StoreStats
-from repro.kv.sharded import shard_hash
+from repro.kv.api import KVStore, StoreStats, type_name
+from repro.kv.sharded import ShardedKVStore, import_type, replay, stream_into, sum_stats
 from repro.obs.trace import instant as obs_instant
 from repro.obs.trace import span as obs_span
 
 READ_POLICIES = ("one", "quorum")
 
-#: Coordinated checkpoint manifest binding every replica image plus the
-#: group state (version clocks, liveness, hint queues) into one unit.
-_MANIFEST = "replicated.manifest.json"
+#: Batched counterpart of each single-key read (quorum reads batch).
+_BATCHED = {"get": "multi_get", "snapshot_read": "snapshot_read_many"}
 
 #: Clock component chaos-injected slowness is charged to (visible in the
 #: busy-time table, separate from genuine cpu/ssd work).
 CHAOS_COMPONENT = "chaos"
 
 
-class ReplicaGroup:
-    """One shard's replica set: N engines, a version clock, hint queues.
+def _check_read_policy(divergence_bound: int, read_policy: str) -> None:
+    if divergence_bound < 0:
+        raise ConfigError(f"divergence_bound must be >= 0, got {divergence_bound}")
+    if read_policy not in READ_POLICIES:
+        raise ConfigError(
+            f"read_policy must be one of {READ_POLICIES}, got {read_policy!r}"
+        )
 
-    The group is the unit of fan-out and failover; the
-    :class:`ReplicatedKVStore` above it only routes shards to groups.
+
+class ReplicaGroup(KVStore):
+    """One partition's replica set: N engines, a version clock, hint queues.
+
+    The group is the unit of fan-out and failover, and owns its read
+    policy: ``divergence_bound`` is the most missed writes a replica may
+    lag and still serve reads (0 = only fully caught-up replicas);
+    ``read_policy`` ``"one"`` routes each read to one admissible replica,
+    ``"quorum"`` reads a majority and answers from the freshest;
+    ``hedge_threshold`` is set by :meth:`ReplicatedKVStore.enable_hedging`.
+    ``max_hints`` caps each replica's hint queue (beyond it a revive
+    rebuilds from a peer's scan).  ``shard`` labels trace spans.
     """
 
-    def __init__(self, replicas: Sequence[KVStore], max_hints: int = 100_000) -> None:
+    def __init__(
+        self,
+        replicas: Sequence[KVStore],
+        max_hints: int = 100_000,
+        divergence_bound: int = 0,
+        read_policy: str = "one",
+    ) -> None:
         if not replicas:
             raise ConfigError("a replica group needs at least one replica")
+        _check_read_policy(divergence_bound, read_policy)
         self.replicas: list[KVStore] = list(replicas)
         self.alive: list[bool] = [True] * len(self.replicas)
         self.clock = ReplicaVersionClock(len(self.replicas))
         self.max_hints = max_hints
+        self.divergence_bound = divergence_bound
+        self.read_policy = read_policy
+        self.hedge_threshold: Optional[float] = None
+        self.shard = 0
         # Per-replica hinted-handoff sets: keys written while it was down.
         # ``None`` marks an overflowed set (full resync needed on revive).
         self._hints: list[Optional[set[int]]] = [set() for _ in self.replicas]
@@ -92,6 +111,10 @@ class ReplicaGroup:
     def replication(self) -> int:
         """Configured replica count (live or not)."""
         return len(self.replicas)
+
+    def engines(self) -> list[KVStore]:
+        """The replica engines, live or not."""
+        return self.replicas
 
     def live_indices(self) -> list[int]:
         """Indices of the replicas currently up, in order."""
@@ -142,43 +165,22 @@ class ReplicaGroup:
         hints = self._hints[replica]
         if hints is not None and not hints and self.clock.lag(replica) == 0:
             return 0  # already converged: no donor needed
-        donor = self._complete_peer(exclude=replica)
+        donor = self.replicas[self._complete_peer(exclude=replica)]
+        target = self.replicas[replica]
         replayed = 0
         if hints is None:
             # Hint overflow: rebuild from a peer's full image (batched —
-            # this path exists for large images, so it must use the
-            # engines' amortized write path), then drop records the
+            # this path exists for large images), then drop records the
             # group deleted while this replica was down.
-            target = self.replicas[replica]
-            donor_keys: set[int] = set()
-            batch_keys: list[int] = []
-            batch_values: list[bytes] = []
-            for key, value in self.replicas[donor].scan():
-                batch_keys.append(key)
-                batch_values.append(value)
-                donor_keys.add(key)
-                replayed += 1
-                if len(batch_keys) >= 1024:
-                    target.multi_put(batch_keys, batch_values)
-                    batch_keys, batch_values = [], []
-            if batch_keys:
-                target.multi_put(batch_keys, batch_values)
+            donor_keys = stream_into(target, donor.scan())
             for key, _ in list(target.scan()):
                 if key not in donor_keys:
                     target.delete(key)
+            replayed = len(donor_keys)
             self.resyncs += 1
         elif hints:
             keys = sorted(hints)
-            values = self.replicas[donor].snapshot_read_many(keys)
-            put_keys, put_values = [], []
-            for key, value in zip(keys, values):
-                if value is None:
-                    self.replicas[replica].delete(key)
-                else:
-                    put_keys.append(key)
-                    put_values.append(value)
-            if put_keys:
-                self.replicas[replica].multi_put(put_keys, put_values)
+            replay(target, keys, donor.snapshot_read_many(keys))
             replayed = len(keys)
         self._hints[replica] = set()
         self.clock.ack(replica)
@@ -192,24 +194,14 @@ class ReplicaGroup:
             raise ConfigError(f"penalty must be non-negative, got {penalty_seconds}")
         self._slow_penalty[replica] = penalty_seconds
 
-    def slow_penalty(self, replica: int) -> float:
-        """The injected per-read latency on ``replica`` (0 = healthy).
-
-        This is the routing signal the serving tier's request hedging
-        consults: a non-zero penalty on every admissible replica means
-        routing around the slowness is impossible and a hedge is the
-        only way to cap the read's latency.
-        """
-        return self._slow_penalty[replica]
-
     def _complete_peer(self, exclude: int) -> int:
         """A live replica holding **every** acknowledged write (lag 0).
 
-        Only a lag-0 replica is a sound read source for catch-up, rmw
-        and scans: the scalar clock cannot tell which writes a lagging
-        replica missed, so "highest applied version" alone could pick a
-        donor missing an acknowledged write.  The :meth:`fail` invariant
-        guarantees such a replica exists.
+        Only a lag-0 replica is a sound read source for catch-up, rmw,
+        migration copies and scans: the scalar clock cannot tell which
+        writes a lagging replica missed, so "highest applied version"
+        alone could pick a donor missing an acknowledged write.  The
+        :meth:`fail` invariant guarantees such a replica exists.
         """
         candidates = [
             index
@@ -223,9 +215,40 @@ class ReplicaGroup:
             )
         return candidates[0]
 
+    def _fresh(self) -> KVStore:
+        return self.replicas[self._complete_peer(exclude=-1)]
+
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
+    def _plan(self, bound: int, threshold: Optional[float] = None) -> tuple[int, float, int, bool]:
+        """``(replica, charge, pool size, hedged)`` of the next routed read
+        — :meth:`pick_reader` without a hedge ``threshold``, hedged
+        routing (see :meth:`_route`) with one — with no side effects."""
+        live = self.live_indices()
+        admissible = [index for index in live if self.clock.in_bound(index, bound)]
+        if not admissible:
+            raise StorageError(
+                f"no replica within divergence bound {bound}; live replicas "
+                f"{live} lag {[self.clock.lag(index) for index in live]} "
+                "(run catch_up first)"
+            )
+        if threshold is None:
+            healthy = [index for index in admissible if not self._slow_penalty[index]]
+            if not healthy:
+                choice = min(admissible, key=self._slow_penalty.__getitem__)
+                return choice, self._slow_penalty[choice], len(admissible), False
+            return healthy[self._cursor % len(healthy)], 0.0, len(healthy), False
+        choice = admissible[self._cursor % len(admissible)]
+        penalty = self._slow_penalty[choice]
+        alternates = [index for index in admissible if index != choice]
+        if penalty > threshold and alternates:
+            alternate = min(alternates, key=self._slow_penalty.__getitem__)
+            hedged_cost = threshold + self._slow_penalty[alternate]
+            if hedged_cost < penalty:
+                return alternate, hedged_cost, len(admissible), True
+        return choice, penalty, len(admissible), False
+
     def pick_reader(self, bound: int) -> int:
         """One admissible replica: live, lag ≤ bound, un-slowed preferred.
 
@@ -237,62 +260,11 @@ class ReplicaGroup:
         replication factor — reads that routed around a dead, lagging,
         or slowed replica.
         """
-        admissible = [
-            index for index in self.live_indices() if self.clock.in_bound(index, bound)
-        ]
-        if not admissible:
-            live = self.live_indices()
-            raise StorageError(
-                f"no replica within divergence bound {bound}; live replicas "
-                f"{live} lag {[self.clock.lag(index) for index in live]} "
-                "(run catch_up first)"
-            )
-        healthy = [index for index in admissible if not self._slow_penalty[index]]
-        pool = healthy or admissible
-        if len(pool) < self.replication:
+        choice, charge, pool, _ = self._plan(bound)
+        if pool < self.replication:
             self.failovers += 1
-        if not healthy:
-            return min(admissible, key=lambda index: self._slow_penalty[index])
-        choice = pool[self._cursor % len(pool)]
-        self._cursor += 1
+        self._cursor += not charge  # the all-slowed fallback does not rotate
         return choice
-
-    def pick_hedged_reader(self, bound: int, threshold: float) -> tuple[int, float]:
-        """One admissible replica with request hedging against slowness.
-
-        Unlike :meth:`pick_reader` — which *avoids* slowed replicas and
-        so hot-spots every read onto the least-penalized one — hedged
-        routing round-robins over the **whole** admissible pool, slowed
-        replicas included: the hedge is what makes spreading load over
-        degraded replicas safe.  When the routed replica's injected
-        penalty exceeds ``threshold``, the read waits the threshold and
-        duplicates to the least-slow admissible peer, completing at the
-        faster of the two.  Returns ``(replica, charge)`` where
-        ``charge`` is the latency cost to pay on the simulated clock
-        (``threshold`` + the hedge target's own penalty when the hedge
-        wins; the routed replica's penalty otherwise).
-        """
-        admissible = [
-            index for index in self.live_indices() if self.clock.in_bound(index, bound)
-        ]
-        if not admissible:
-            return self.pick_reader(bound), 0.0  # raises the routing error
-        if len(admissible) < self.replication:
-            self.failovers += 1
-        choice = admissible[self._cursor % len(admissible)]
-        self._cursor += 1
-        penalty = self._slow_penalty[choice]
-        if penalty <= threshold:
-            return choice, penalty
-        alternates = [index for index in admissible if index != choice]
-        if not alternates:
-            return choice, penalty
-        alternate = min(alternates, key=lambda index: self._slow_penalty[index])
-        hedged_cost = threshold + self._slow_penalty[alternate]
-        if hedged_cost < penalty:
-            self.hedged_reads += 1
-            return alternate, hedged_cost
-        return choice, penalty
 
     def quorum_readers(self) -> list[int]:
         """A majority of live replicas, freshest first.
@@ -314,51 +286,191 @@ class ReplicaGroup:
         ranked = sorted(live, key=lambda index: -self.clock.applied[index])
         return ranked[:needed]
 
-    def charge_penalty(self, replica: int) -> None:
-        """Pay the injected slowness on the shared simulated clock."""
-        penalty = self._slow_penalty[replica]
-        if penalty:
+    def _charge(self, replica: int, seconds: float) -> None:
+        """Pay injected slowness on the replica's simulated clock."""
+        if seconds:
             clock = getattr(self.replicas[replica], "clock", None)
             if clock is not None:
-                clock.advance(penalty, component=CHAOS_COMPONENT)
+                clock.advance(seconds, component=CHAOS_COMPONENT)
+
+    def _route(self) -> int:
+        """Pick the replica one routed read uses and pay its slowness.
+
+        With a ``hedge_threshold`` the read is hedged: unlike
+        :meth:`pick_reader` — which *avoids* slowed replicas and so
+        hot-spots every read onto the least-penalized one — hedged
+        routing round-robins over the **whole** admissible pool, slowed
+        replicas included: the hedge is what makes spreading load over
+        degraded replicas safe.  When the routed replica's injected
+        penalty exceeds the threshold, the read waits the threshold and
+        duplicates to the least-slow admissible peer, completing at the
+        faster of the two (it pays the threshold plus that peer's own
+        penalty).
+        """
+        if self.hedge_threshold is None:
+            replica = self.pick_reader(self.divergence_bound)
+            charge = self._slow_penalty[replica]
+        else:
+            replica, charge, pool, hedged = self._plan(
+                self.divergence_bound, self.hedge_threshold
+            )
+            self.failovers += pool < self.replication
+            self._cursor += 1
+            self.hedged_reads += hedged
+        self._charge(replica, charge)
+        return replica
+
+    def _peek(self) -> int:
+        """The replica the next routed read will use — without advancing
+        the cursor, counting a failover or charging a penalty."""
+        if self.read_policy == "quorum":
+            return max(self.live_indices(), key=self.clock.applied.__getitem__)
+        return self._plan(self.divergence_bound, self.hedge_threshold)[0]
 
     # ------------------------------------------------------------------
-    # writes
+    # KVStore interface — reads
     # ------------------------------------------------------------------
+    def get(self, key: int) -> Optional[bytes]:
+        """Read from one admissible replica (or a quorum)."""
+        return self._read("get", key)
+
+    def snapshot_read(self, key: int) -> Optional[bytes]:
+        """Committed read (no staleness consumption) from one replica."""
+        return self._read("snapshot_read", key)
+
+    def multi_get(self, keys) -> list:
+        """One batched read served by one replica (or a quorum)."""
+        return self._read("multi_get", self._normalize_keys(keys))
+
+    def snapshot_read_many(self, keys) -> list:
+        """Batched committed reads served by one replica (or a quorum)."""
+        return self._read("snapshot_read_many", self._normalize_keys(keys))
+
+    def fresh_read_many(self, keys) -> list:
+        """Batched committed reads from a lag-0 replica.
+
+        The read half of anything whose result outlives the read — an
+        rmw write-back, a migration copy: a bounded-stale replica would
+        fan or copy its old value over fresher ones (a lost update).
+        """
+        return self._fresh().snapshot_read_many(self._normalize_keys(keys))
+
+    def _read(self, verb: str, arg):
+        """One routed read, or a quorum read answered by the freshest
+        majority member.  ``quorum_readers`` ranks by applied version, so
+        the first reader's answers win; the rest are still read (paying
+        their cost) — the price of quorum reads, and exactly why
+        read-one + divergence bound is the serving path."""
+        if self.read_policy == "quorum":
+            single = verb in _BATCHED
+            keys = [arg] if single else arg
+            with obs_span("kv.replica_read", shard=self.shard, policy="quorum", keys=len(keys)):
+                answers = []
+                for replica in self.quorum_readers():
+                    self._charge(replica, self._slow_penalty[replica])
+                    answers.append(getattr(self.replicas[replica], _BATCHED.get(verb, verb))(keys))
+            return answers[0][0] if single else answers[0]
+        replica = self._route()
+        reader = self.replicas[replica]
+        with obs_span(
+            "kv.replica_read",
+            clock=getattr(reader, "clock", None),
+            shard=self.shard,
+            replica=replica,
+        ):
+            return getattr(reader, verb)(arg)
+
+    def lookahead(self, keys) -> int:
+        """Stage a prefetch batch on the replica the next routed read
+        will use (staging elsewhere would only warm a replica that is
+        not read)."""
+        stage = getattr(self.replicas[self._peek()], "lookahead", None)
+        return stage(self._normalize_keys(keys)) if stage is not None else 0
+
+    # ------------------------------------------------------------------
+    # KVStore interface — writes (synchronous fan-out)
+    # ------------------------------------------------------------------
+    def put(self, key: int, value: bytes) -> None:
+        """Fan-out write to every live replica."""
+        self._check_writable()
+        self.fanout_put(key, value)
+
+    def delete(self, key: int) -> bool:
+        """Fan-out delete to every live replica."""
+        self._check_writable()
+        return self.fanout_delete(key)
+
+    def multi_put(self, keys, values) -> None:
+        """Batched fan-out write."""
+        self._check_writable()
+        keys, values = self._normalize_pairs(keys, values)
+        with obs_span(
+            "kv.replica_write",
+            shard=self.shard,
+            live_replicas=len(self.live_indices()),
+            keys=len(keys),
+        ):
+            self.fanout_multi_put(keys, values)
+
+    def rmw(self, key: int, update: Callable[[Optional[bytes]], bytes]) -> bytes:
+        """Read-modify-write reading a **fully caught-up** replica.
+
+        The divergence bound licenses stale *reads*, never stale
+        write-backs: routing the read half through a bounded-stale
+        replica would fan its old value out over fresher copies (a lost
+        update).
+        """
+        self._check_writable()
+        new_value = update(self._fresh().get(key))
+        self.fanout_put(key, new_value)
+        return new_value
+
+    def multi_rmw(self, keys, update: Callable[[list, list], list]) -> list:
+        """Batched :meth:`rmw`: the parameter-server apply hook.
+
+        The read half uses :meth:`fresh_read_many`; the writes fan out
+        through the group (hinted against dead replicas), so a replica
+        killed mid-push loses nothing: the survivor takes the delta and
+        the revive replays it.
+        """
+        self._check_writable()
+        keys = self._normalize_keys(keys)
+        new_values = list(update(keys, self.fresh_read_many(keys)))
+        if len(new_values) != len(keys):
+            raise ValueError(
+                f"multi_rmw update returned {len(new_values)} values "
+                f"for {len(keys)} keys"
+            )
+        self.fanout_multi_put(keys, new_values)
+        return new_values
+
     def fanout_put(self, key: int, value: bytes) -> None:
         """Write to every live replica, hinting the write for down ones."""
-        self.clock.advance()
-        for index, replica in enumerate(self.replicas):
-            if self.alive[index]:
-                replica.put(key, value)
-                # apply(), not ack(): a lagging replica keeps its gap —
-                # taking new writes does not un-miss the hinted ones.
-                self.clock.apply(index)
-            else:
-                self._hint(index, key)
+        self._fanout([key], lambda replica: replica.put(key, value))
 
     def fanout_delete(self, key: int) -> bool:
         """Delete on every live replica; returns whether any held the key."""
-        self.clock.advance()
-        existed = False
-        for index, replica in enumerate(self.replicas):
-            if self.alive[index]:
-                existed = replica.delete(key) or existed
-                self.clock.apply(index)
-            else:
-                self._hint(index, key)
-        return existed
+        return self._fanout([key], lambda replica: replica.delete(key))
 
     def fanout_multi_put(self, keys: list, values: list) -> None:
         """Batched fan-out write with per-replica hinting."""
+        self._fanout(keys, lambda replica: replica.multi_put(keys, values))
+
+    def _fanout(self, keys: list, write: Callable[[KVStore], object]) -> bool:
+        """Apply ``write`` on every live replica and hint ``keys`` against
+        the dead ones; returns whether any replica's ``write`` was truthy."""
         self.clock.advance(len(keys))
+        answered = False
         for index, replica in enumerate(self.replicas):
             if self.alive[index]:
-                replica.multi_put(keys, values)
+                answered = bool(write(replica)) or answered
+                # apply(), not ack(): a lagging replica keeps its gap —
+                # taking new writes does not un-miss the hinted ones.
                 self.clock.apply(index, len(keys))
             else:
                 for key in keys:
                     self._hint(index, key)
+        return answered
 
     def _hint(self, replica: int, key: int) -> None:
         hints = self._hints[replica]
@@ -373,9 +485,110 @@ class ReplicaGroup:
         hints = self._hints[replica]
         return -1 if hints is None else len(hints)
 
+    def scan(self) -> Iterator[tuple[int, bytes]]:
+        """Every live record once, from a fully caught-up replica."""
+        return self._fresh().scan()
 
-class ReplicatedKVStore(KVStore, CheckpointManager):
-    """Hash-sharded store with N-way replica groups per shard.
+    def __len__(self) -> int:
+        """Live records on a fully caught-up replica (``TypeError`` for
+        unsized engines, like the engines themselves)."""
+        return len(self._fresh())  # type: ignore[arg-type]
+
+    def freeze(self) -> "ReplicaGroup":
+        """Freeze every replica and the group itself."""
+        for replica in self.replicas:
+            replica.freeze()
+        self.read_only = True
+        return self
+
+    def close(self) -> None:
+        """Close every replica."""
+        for replica in self.replicas:
+            replica.close()
+
+    @property
+    def stats(self) -> StoreStats:
+        """Counters summed over every replica, plus replication health.
+
+        Reads touch one replica and writes touch all live replicas, so
+        ``puts`` counts fan-out copies (the real work done) while
+        ``gets``/``hits``/``misses`` reflect the single routed read path.
+        """
+        total = sum_stats(replica.stats for replica in self.replicas)
+        indices = range(self.replication)
+        total.extra.update(
+            replica_lag=[self.clock.lag(index) for index in indices],
+            hints_outstanding=[self.hints_outstanding(index) for index in indices],
+            slow_penalties=list(self._slow_penalty),
+            failovers=self.failovers,
+            catchup_keys=self.catchup_keys,
+            hedged_reads=self.hedged_reads,
+            resyncs=self.resyncs,
+        )
+        return total
+
+    def checkpoint(self) -> None:
+        """Checkpoint every replica engine."""
+        for replica in self.replicas:
+            snap = getattr(replica, "checkpoint", None)
+            if snap is not None:
+                snap()
+
+    def describe(self, relpath: Callable[[KVStore], str]) -> tuple[dict, str]:
+        """``(manifest entry, class)``: the replica images plus the group
+        state a restore cannot rediscover.  Hinted-handoff queues survive
+        the round trip, so a revive after restore replays exactly the
+        keys the live run owed the dead replica."""
+        entry = {
+            "replicas": [relpath(replica) for replica in self.replicas],
+            "types": [type_name(replica) for replica in self.replicas],
+            "clock": {"version": self.clock.version, "applied": list(self.clock.applied)},
+            "alive": list(self.alive),
+            "max_hints": self.max_hints,
+            "hints": [None if hints is None else sorted(hints) for hints in self._hints],
+            "divergence_bound": self.divergence_bound,
+            "read_policy": self.read_policy,
+        }
+        return entry, type_name(self)
+
+    @classmethod
+    def restore(
+        cls,
+        directory: str,
+        entry: Optional[dict] = None,
+        factory: Optional[Callable[[int, str], KVStore]] = None,
+        **kwargs,
+    ) -> "ReplicaGroup":
+        """Reopen a group from its ``entry`` in a store manifest.
+
+        Replica images live under ``directory`` at the entry's relative
+        paths; ``factory(replica_index, replica_directory)`` rebuilds one
+        (else each recorded class's ``restore`` runs with ``kwargs``).
+        """
+        if entry is None:
+            raise CheckpointError("a replica group restores from its store manifest entry")
+        replicas = []
+        for index, (rel, dotted) in enumerate(zip(entry["replicas"], entry["types"])):
+            path = os.path.join(directory, rel)
+            replicas.append(
+                factory(index, path) if factory is not None
+                else import_type(dotted).restore(path, **kwargs)
+            )
+        group = cls(
+            replicas,
+            max_hints=entry["max_hints"],
+            divergence_bound=entry["divergence_bound"],
+            read_policy=entry["read_policy"],
+        )
+        group.clock.version = entry["clock"]["version"]
+        group.clock.applied = list(entry["clock"]["applied"])
+        group.alive = list(entry["alive"])
+        group._hints = [None if hints is None else set(hints) for hints in entry["hints"]]
+        return group
+
+
+class ReplicatedKVStore(ShardedKVStore):
+    """Sharded store whose partitions are N-way replica groups.
 
     Parameters
     ----------
@@ -384,26 +597,19 @@ class ReplicatedKVStore(KVStore, CheckpointManager):
         engine per (shard, replica); replicas of a shard must be
         independent instances (their own directories).
     num_shards:
-        Number of hash partitions (same splitmix64 routing as
-        :class:`~repro.kv.sharded.ShardedKVStore`).
+        Initial number of partitions; live splits add more (their
+        factory builds whole :class:`ReplicaGroup` s).
     replication:
         Replicas per shard (1 = plain sharding with group bookkeeping).
-    divergence_bound:
-        Maximum missed writes a replica may lag and still serve reads
-        (0 = only fully caught-up replicas serve; the BSP of replicas).
-    read_policy:
-        ``"one"`` — route each read to one admissible replica (the
-        serving hot path); ``"quorum"`` — read a majority and answer
-        from the freshest (survives reading a stale replica even when
-        the bound admits it).
-    max_hints:
-        Per-replica hinted-handoff cap; beyond it a revive rebuilds the
-        replica from a peer's full scan instead of replaying hints.
+    divergence_bound, read_policy, max_hints:
+        Every group's read policy and hinted-handoff cap (see
+        :class:`ReplicaGroup`).
     directory:
         Optional base directory for the coordinated checkpoint manifest;
-        every replica's own directory must live under it.  Without one,
-        ``checkpoint`` degrades to the per-replica checkpoints only.
+        every replica's own directory must live under it.
     """
+
+    manifest_name = "replicated.manifest.json"
 
     def __init__(
         self,
@@ -415,282 +621,71 @@ class ReplicatedKVStore(KVStore, CheckpointManager):
         max_hints: int = 100_000,
         directory: Optional[str] = None,
     ) -> None:
-        if num_shards <= 0:
-            raise ConfigError(f"num_shards must be positive, got {num_shards}")
         if replication <= 0:
             raise ConfigError(f"replication must be positive, got {replication}")
-        if divergence_bound < 0:
-            raise ConfigError(f"divergence_bound must be >= 0, got {divergence_bound}")
-        if read_policy not in READ_POLICIES:
-            raise ConfigError(
-                f"read_policy must be one of {READ_POLICIES}, got {read_policy!r}"
-            )
-        self.num_shards = num_shards
-        self.replication = replication
-        self.divergence_bound = divergence_bound
-        self.read_policy = read_policy
-        self.directory = directory
-        self.groups: list[ReplicaGroup] = [
-            ReplicaGroup(
+        _check_read_policy(divergence_bound, read_policy)
+        super().__init__(
+            lambda shard: ReplicaGroup(
                 [factory(shard, replica) for replica in range(replication)],
                 max_hints=max_hints,
-            )
-            for shard in range(num_shards)
-        ]
-        self._shard_ops = [0] * num_shards
-        self._closed = False
-        # Request hedging is off until the serving tier opts in (see
-        # ``enable_hedging``); None keeps the plain routed-read path.
-        self.hedge_threshold: Optional[float] = None
-
-    @classmethod
-    def from_groups(
-        cls,
-        groups: Sequence[ReplicaGroup],
-        divergence_bound: int = 0,
-        read_policy: str = "one",
-    ) -> "ReplicatedKVStore":
-        """Wrap already-constructed replica groups (one per shard)."""
-        groups = list(groups)
-        if not groups:
-            raise ConfigError("from_groups needs at least one group")
-        store = cls(
-            lambda shard, replica: groups[shard].replicas[replica],
-            num_shards=len(groups),
-            replication=groups[0].replication,
-            divergence_bound=divergence_bound,
-            read_policy=read_policy,
+                divergence_bound=divergence_bound,
+                read_policy=read_policy,
+            ),
+            num_shards,
+            directory=directory,
         )
-        # Keep the callers' groups (clock state, hints, counters) rather
-        # than the fresh ones the constructor built around the replicas.
-        store.groups = groups
-        return store
 
-    # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-    def shard_of(self, key: int) -> int:
-        """Owning shard (replica group) index for a key."""
-        return shard_hash(key) % self.num_shards
-
-    def _partition_keys(self, keys: list) -> dict[int, list[int]]:
-        by_shard: dict[int, list[int]] = {}
-        for position, key in enumerate(keys):
-            by_shard.setdefault(self.shard_of(key), []).append(position)
-        return by_shard
-
-    def _read_replica(self, group: ReplicaGroup) -> int:
-        if self.hedge_threshold is not None:
-            choice, charge = group.pick_hedged_reader(
-                self.divergence_bound, self.hedge_threshold
+    def _place(
+        self, partition: KVStore, index: int, source: Optional[KVStore] = None
+    ) -> KVStore:
+        """Label the group with its shard; a split or migration target
+        takes the source group's read policy."""
+        if not isinstance(partition, ReplicaGroup):
+            raise ConfigError(
+                "a replicated store's partitions are ReplicaGroups; the "
+                f"factory built a {type(partition).__name__}"
             )
-            if charge:
-                clock = getattr(group.replicas[choice], "clock", None)
-                if clock is not None:
-                    clock.advance(charge, component=CHAOS_COMPONENT)
-            return choice
-        choice = group.pick_reader(self.divergence_bound)
-        group.charge_penalty(choice)
-        return choice
+        partition.shard = index
+        if isinstance(source, ReplicaGroup):
+            partition.divergence_bound = source.divergence_bound
+            partition.read_policy = source.read_policy
+            partition.hedge_threshold = source.hedge_threshold
+        return partition
+
+    @property
+    def groups(self) -> list[ReplicaGroup]:
+        """The partitions, one replica group per shard."""
+        return self.shards  # type: ignore[return-value]
+
+    @property
+    def divergence_bound(self) -> int:
+        """The groups' divergence bound (setting it applies to every group)."""
+        return self.groups[0].divergence_bound
+
+    @divergence_bound.setter
+    def divergence_bound(self, bound: int) -> None:
+        for group in self.groups:
+            group.divergence_bound = bound
 
     def enable_hedging(self, threshold_seconds: Optional[float]) -> None:
-        """Turn on request hedging for routed reads (``None`` disables).
-
-        Hedged routing spreads reads round-robin over the whole
-        admissible pool — slowed replicas included — and caps the cost
-        of landing on one: a read routed to a replica slowed beyond
-        ``threshold_seconds`` (the signal :meth:`slow_replica` injects
-        and :meth:`ReplicaGroup.slow_penalty` exposes) waits the
-        threshold and then duplicates to the least-slow admissible
-        peer, completing at the faster of the two — the classic
-        tail-latency hedge.  Hedges taken are counted per group
-        (``hedged_reads`` in ``stats.extra``).
-        """
+        """Turn on request hedging for every group's routed reads
+        (``None`` disables): see :meth:`ReplicaGroup._route`.
+        Hedges taken land in ``stats.extra["hedged_reads"]``."""
         if threshold_seconds is not None and threshold_seconds < 0:
             raise ConfigError(
                 f"hedge threshold must be non-negative, got {threshold_seconds}"
             )
-        self.hedge_threshold = threshold_seconds
+        for group in self.groups:
+            group.hedge_threshold = threshold_seconds
 
+    # ------------------------------------------------------------------
+    # fault injection & recovery (the chaos surface)
+    # ------------------------------------------------------------------
     def live_replicas(self, shard: int) -> list[int]:
         """Indices of the live replicas of ``shard`` (the autoscaler's
         add/remove-replica surface reads this)."""
         return self.groups[shard].live_indices()
 
-    # ------------------------------------------------------------------
-    # KVStore interface — reads
-    # ------------------------------------------------------------------
-    def get(self, key: int) -> Optional[bytes]:
-        """Read from one bounded-staleness replica of the owning group."""
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        group = self.groups[shard]
-        if self.read_policy == "quorum":
-            return self._quorum_get(group, key, snapshot=False)
-        return group.replicas[self._read_replica(group)].get(key)
-
-    def multi_get(self, keys) -> list:
-        """One batched sub-read per shard, served by one replica each."""
-        return self._batched_read(keys, snapshot=False)
-
-    def snapshot_read(self, key: int) -> Optional[bytes]:
-        """Committed read (no staleness consumption) from the owning group."""
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        group = self.groups[shard]
-        if self.read_policy == "quorum":
-            return self._quorum_get(group, key, snapshot=True)
-        return group.replicas[self._read_replica(group)].snapshot_read(key)
-
-    def snapshot_read_many(self, keys) -> list:
-        """Batched committed reads, one sub-batch per owning group."""
-        return self._batched_read(keys, snapshot=True)
-
-    def read_committed_many(self, keys) -> list:
-        """Training-side alias of :meth:`snapshot_read_many` (one fan-out)."""
-        return self.snapshot_read_many(keys)
-
-    def _batched_read(self, keys, snapshot: bool) -> list:
-        keys = self._normalize_keys(keys)
-        results: list = [None] * len(keys)
-        for shard, positions in self._partition_keys(keys).items():
-            self._shard_ops[shard] += len(positions)
-            group = self.groups[shard]
-            sub_keys = [keys[position] for position in positions]
-            if self.read_policy == "quorum":
-                with obs_span(
-                    "kv.replica_read",
-                    shard=shard,
-                    policy="quorum",
-                    keys=len(sub_keys),
-                ):
-                    sub_results = self._quorum_multi(group, sub_keys, snapshot)
-            else:
-                replica = self._read_replica(group)
-                reader = group.replicas[replica]
-                with obs_span(
-                    "kv.replica_read",
-                    clock=getattr(reader, "clock", None),
-                    shard=shard,
-                    replica=replica,
-                    keys=len(sub_keys),
-                ):
-                    sub_results = (
-                        reader.snapshot_read_many(sub_keys)
-                        if snapshot
-                        else reader.multi_get(sub_keys)
-                    )
-            for position, value in zip(positions, sub_results):
-                results[position] = value
-        return results
-
-    def _quorum_get(self, group: ReplicaGroup, key: int, snapshot: bool):
-        return self._quorum_multi(group, [key], snapshot)[0]
-
-    def _quorum_multi(self, group: ReplicaGroup, keys: list, snapshot: bool) -> list:
-        """Read a majority; answer from the freshest replica read.
-
-        ``quorum_readers`` ranks by applied version, so the first
-        reader's answers win; the remaining majority members are still
-        read (paying their cost) — that is the price of quorum reads and
-        exactly why ``read_one`` + divergence bound is the serving path.
-        """
-        answers = []
-        for replica in group.quorum_readers():
-            group.charge_penalty(replica)
-            reader = group.replicas[replica]
-            answers.append(
-                reader.snapshot_read_many(keys) if snapshot else reader.multi_get(keys)
-            )
-        return answers[0]
-
-    # ------------------------------------------------------------------
-    # KVStore interface — writes (synchronous fan-out)
-    # ------------------------------------------------------------------
-    def put(self, key: int, value: bytes) -> None:
-        """Fan-out write to the owning group's replicas."""
-        self._check_writable()
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        self.groups[shard].fanout_put(key, value)
-
-    def delete(self, key: int) -> bool:
-        """Fan-out delete to the owning group's replicas."""
-        self._check_writable()
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        return self.groups[shard].fanout_delete(key)
-
-    def rmw(self, key: int, update: Callable[[Optional[bytes]], bytes]) -> bytes:
-        """Read-modify-write reading from the **freshest** live replica.
-
-        The divergence bound licenses stale *reads*, never stale
-        write-backs: routing the read half through a bounded-stale
-        replica would fan its old value out over fresher copies (a lost
-        update).  So the read half bypasses read routing and always uses
-        the live replica with the highest applied version.
-        """
-        self._check_writable()
-        shard = self.shard_of(key)
-        self._shard_ops[shard] += 1
-        group = self.groups[shard]
-        freshest = group.replicas[group._complete_peer(exclude=-1)]
-        new_value = update(freshest.get(key))
-        group.fanout_put(key, new_value)
-        return new_value
-
-    def multi_put(self, keys, values) -> None:
-        """Batched fan-out writes, one sub-batch per owning group."""
-        self._check_writable()
-        keys, values = self._normalize_pairs(keys, values)
-        for shard, positions in self._partition_keys(keys).items():
-            self._shard_ops[shard] += len(positions)
-            group = self.groups[shard]
-            with obs_span(
-                "kv.replica_write",
-                shard=shard,
-                live_replicas=len(group.live_indices()),
-                keys=len(positions),
-            ):
-                group.fanout_multi_put(
-                    [keys[position] for position in positions],
-                    [values[position] for position in positions],
-                )
-
-    def multi_rmw(self, keys, update: Callable[[list, list], list]) -> list:
-        """Batched :meth:`rmw`: the parameter-server apply hook.
-
-        Same freshness rule as the scalar path — the read half always
-        uses a fully caught-up (lag-0) replica per group, because a
-        bounded-stale read folded into a write-back would fan the stale
-        value out over fresher copies (a lost update).  ``update`` runs
-        once per shard sub-batch; writes fan out through the group
-        (hinted against dead replicas), so a replica killed mid-push
-        loses nothing: the survivor takes the delta and the revive
-        replays it.
-        """
-        self._check_writable()
-        keys = self._normalize_keys(keys)
-        results: list = [None] * len(keys)
-        for shard, positions in self._partition_keys(keys).items():
-            self._shard_ops[shard] += len(positions)
-            group = self.groups[shard]
-            donor = group.replicas[group._complete_peer(exclude=-1)]
-            sub_keys = [keys[position] for position in positions]
-            new_values = list(update(sub_keys, donor.snapshot_read_many(sub_keys)))
-            if len(new_values) != len(sub_keys):
-                raise ValueError(
-                    f"multi_rmw update returned {len(new_values)} values "
-                    f"for {len(sub_keys)} keys"
-                )
-            group.fanout_multi_put(sub_keys, new_values)
-            for position, value in zip(positions, new_values):
-                results[position] = value
-        return results
-
-    # ------------------------------------------------------------------
-    # fault injection & recovery (the chaos surface)
-    # ------------------------------------------------------------------
     def fail_replica(self, shard: int, replica: int) -> None:
         """Kill one replica; reads and writes route around it."""
         self.groups[shard].fail(replica)
@@ -725,271 +720,15 @@ class ReplicatedKVStore(KVStore, CheckpointManager):
         """Writes a replica is behind its group's newest write."""
         return self.groups[shard].clock.lag(replica)
 
-    # ------------------------------------------------------------------
-    # coordinated checkpoint / restore
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> None:
-        """Checkpoint every replica, then bind them with one manifest.
-
-        Each replica engine persists its own crash-consistent image
-        first; the manifest — replica locations and classes plus the
-        *group* state a restore cannot rediscover (version clocks,
-        liveness flags, hint queues) — is written atomically last, so a
-        crash mid-checkpoint leaves the previous manifest authoritative.
-        Like the sharded manifest, it pins locations rather than image
-        versions: cross-shard crash atomicity comes from uploading the
-        unit through the content-addressed ``CloudCheckpointer``.
-        """
-        for group in self.groups:
-            for replica in group.replicas:
-                snap = getattr(replica, "checkpoint", None)
-                if snap is not None:
-                    snap()
-        if self.directory is None:
-            return
-        os.makedirs(self.directory, exist_ok=True)
-        manifest = {
-            "num_shards": self.num_shards,
-            "replication": self.replication,
-            "divergence_bound": self.divergence_bound,
-            "read_policy": self.read_policy,
-            "replicas": [
-                [self._replica_relpath(replica) for replica in group.replicas]
-                for group in self.groups
-            ],
-            "types": [
-                [
-                    f"{type(replica).__module__}.{type(replica).__qualname__}"
-                    for replica in group.replicas
-                ]
-                for group in self.groups
-            ],
-            "clocks": [
-                {"version": group.clock.version, "applied": list(group.clock.applied)}
-                for group in self.groups
-            ],
-            "alive": [list(group.alive) for group in self.groups],
-            "max_hints": [group.max_hints for group in self.groups],
-            # Hinted-handoff queues survive the round trip: a revive
-            # after restore replays exactly the keys the live run owed
-            # the dead replica.  ``None`` marks an overflowed queue.
-            "hints": [
-                [None if hints is None else sorted(hints) for hints in group._hints]
-                for group in self.groups
-            ],
-        }
-        tmp = os.path.join(self.directory, _MANIFEST + ".tmp")
-        with open(tmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(tmp, os.path.join(self.directory, _MANIFEST))
-
-    def _replica_relpath(self, replica: KVStore) -> str:
-        """A replica's directory relative to the coordinated base dir."""
-        child_dir = getattr(replica, "directory", None)
-        if child_dir is None:
-            raise CheckpointError(
-                f"replica {type(replica).__name__} has no directory; "
-                "coordinated checkpoints need file-backed replicas"
-            )
-        rel = os.path.relpath(
-            os.path.abspath(child_dir), os.path.abspath(self.directory)
-        )
-        if rel.startswith(os.pardir):
-            raise CheckpointError(
-                f"replica directory {child_dir} is outside the coordinated "
-                f"base {self.directory}; place every replica under the base"
-            )
-        return rel
-
-    @classmethod
-    def restore(
-        cls,
-        directory: str,
-        factory: Optional[Callable[[int, int, str], KVStore]] = None,
-        **kwargs,
-    ) -> "ReplicatedKVStore":
-        """Reopen a coordinated replicated checkpoint.
-
-        ``factory(shard_index, replica_index, replica_directory)``
-        rebuilds one replica engine from its image — use it to re-wire
-        shared SSD/clock models.  When omitted, each replica's class
-        recorded in the manifest is imported and its own ``restore`` is
-        called with ``kwargs`` forwarded.  Group state — version clocks,
-        liveness, hint queues — comes back exactly as checkpointed, so
-        lag bookkeeping and pending hinted catch-ups survive recovery.
-        """
-        manifest_path = os.path.join(directory, _MANIFEST)
-        if not os.path.exists(manifest_path):
-            raise CheckpointError(f"no coordinated replicated manifest in {directory}")
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        groups: list[ReplicaGroup] = []
-        for shard, rels in enumerate(manifest["replicas"]):
-            replicas: list[KVStore] = []
-            for index, rel in enumerate(rels):
-                replica_dir = os.path.join(directory, rel)
-                if factory is not None:
-                    replicas.append(factory(shard, index, replica_dir))
-                else:
-                    dotted = manifest["types"][shard][index]
-                    module_name, _, class_name = dotted.rpartition(".")
-                    replica_cls = getattr(
-                        importlib.import_module(module_name), class_name
-                    )
-                    replicas.append(replica_cls.restore(replica_dir, **kwargs))
-            group = ReplicaGroup(replicas, max_hints=manifest["max_hints"][shard])
-            clock_state = manifest["clocks"][shard]
-            group.clock.version = clock_state["version"]
-            group.clock.applied = list(clock_state["applied"])
-            group.alive = list(manifest["alive"][shard])
-            group._hints = [
-                None if hints is None else set(hints)
-                for hints in manifest["hints"][shard]
-            ]
-            groups.append(group)
-        store = cls.from_groups(
-            groups,
-            divergence_bound=manifest["divergence_bound"],
-            read_policy=manifest["read_policy"],
-        )
-        store.directory = directory
-        return store
-
-    # ------------------------------------------------------------------
-    # passthroughs the serving tier relies on
-    # ------------------------------------------------------------------
-    def scan(self) -> Iterator[tuple[int, bytes]]:
-        """All live records, once each, from one fresh replica per shard."""
-        for group in self.groups:
-            donor = group._complete_peer(exclude=-1)
-            yield from group.replicas[donor].scan()
-
-    def lookahead(self, keys) -> int:
-        """Stage a prefetch batch on each shard's current reader."""
-        keys = self._normalize_keys(keys)
-        copied = 0
-        for shard, positions in self._partition_keys(keys).items():
-            group = self.groups[shard]
-            reader = group.replicas[self._read_replica(group)]
-            engine = getattr(reader, "lookahead", None)
-            if engine is not None:
-                copied += engine([keys[position] for position in positions])
-        return copied
-
-    def set_stall_handler(self, handler) -> None:
-        """Install a stall callback on every replica engine."""
-        for group in self.groups:
-            for replica in group.replicas:
-                sink = getattr(replica, "set_stall_handler", None)
-                if sink is not None:
-                    sink(handler)
-
-    @property
-    def staleness_bound(self):
-        """Tightest child bound, exposed only when every replica has one."""
-        bounds = [
-            getattr(replica, "staleness_bound", None)
-            for group in self.groups
-            for replica in group.replicas
-        ]
-        if any(bound is None for bound in bounds):
-            raise AttributeError("not every replica enforces a staleness bound")
-        return min(bounds)
-
-    @property
-    def clock(self):
-        """The simulated clock shared by every replica, when there is one."""
-        first = getattr(self.groups[0].replicas[0], "clock", None)
-        if first is not None and all(
-            getattr(replica, "clock", None) is first
-            for group in self.groups
-            for replica in group.replicas
-        ):
-            return first
-        raise AttributeError("replicas do not share a single clock")
-
-    @property
-    def ssd(self):
-        """The device model shared by every replica, when there is one."""
-        first = getattr(self.groups[0].replicas[0], "ssd", None)
-        if first is not None and all(
-            getattr(replica, "ssd", None) is first
-            for group in self.groups
-            for replica in group.replicas
-        ):
-            return first
-        raise AttributeError("replicas do not share a single SSD device")
-
-    def freeze(self) -> "ReplicatedKVStore":
-        """Freeze every replica and the wrapper itself."""
-        for group in self.groups:
-            for replica in group.replicas:
-                replica.freeze()
-        self.read_only = True
-        return self
-
-    def close(self) -> None:
-        """Close every replica in every group."""
-        if not self._closed:
-            for group in self.groups:
-                for replica in group.replicas:
-                    replica.close()
-            self._closed = True
-
-    def __len__(self) -> int:
-        """Live records, counted once per shard on a fresh replica."""
-        total = 0
-        for group in self.groups:
-            donor = group.replicas[group._complete_peer(exclude=-1)]
-            try:
-                total += len(donor)  # type: ignore[arg-type]
-            except TypeError:
-                total += sum(1 for _ in donor.scan())
-        return total
-
-    # ------------------------------------------------------------------
-    # stats
-    # ------------------------------------------------------------------
     @property
     def stats(self) -> StoreStats:
-        """Aggregated counters over every replica of every group.
-
-        Reads touch one replica per shard and writes touch all live
-        replicas, so ``puts`` counts fan-out copies (the real work done)
-        while ``gets``/``hits``/``misses`` reflect the single routed
-        read path.  ``extra`` carries replication health: per-group lag
-        vectors, failover counts, hinted keys outstanding.
-        """
-        total = StoreStats()
-        lags, failovers, hints, catchups = [], 0, [], 0
-        penalties, hedges = [], 0
-        for group in self.groups:
-            for replica in group.replicas:
-                child = replica.stats
-                total.gets += child.gets
-                total.puts += child.puts
-                total.deletes += child.deletes
-                total.hits += child.hits
-                total.misses += child.misses
-            lags.append([group.clock.lag(index) for index in range(group.replication)])
-            failovers += group.failovers
-            catchups += group.catchup_keys
-            hints.append(
-                [group.hints_outstanding(index) for index in range(group.replication)]
-            )
-            penalties.append(
-                [group.slow_penalty(index) for index in range(group.replication)]
-            )
-            hedges += group.hedged_reads
-        total.extra["shard_ops"] = list(self._shard_ops)
-        total.extra["replica_lag"] = lags
-        total.extra["failovers"] = failovers
-        total.extra["catchup_keys"] = catchups
-        total.extra["hints_outstanding"] = hints
-        total.extra["slow_penalties"] = penalties
-        total.extra["hedged_reads"] = hedges
+        """Sharded stats plus replication health rolled up over groups:
+        per-group lag, hint and slowness vectors; summed failover,
+        catch-up and hedge counts."""
+        total = super().stats
+        per_group = total.extra["shards"]
+        for field in ("replica_lag", "hints_outstanding", "slow_penalties"):
+            total.extra[field] = [group[field] for group in per_group]
+        for field in ("failovers", "catchup_keys", "hedged_reads"):
+            total.extra[field] = sum(group[field] for group in per_group)
         return total
-
-    def balance(self) -> list[int]:
-        """Operations routed to each shard since construction."""
-        return list(self._shard_ops)

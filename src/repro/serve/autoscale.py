@@ -102,15 +102,15 @@ class Autoscaler:
     Parameters
     ----------
     store:
-        The shared store.  Splitting/migrating needs the
-        :class:`~repro.kv.ShardedKVStore` surface (``begin_split`` /
-        ``begin_migrate``); replica actions need the
-        :class:`~repro.kv.ReplicatedKVStore` surface (``fail_replica``
-        / ``revive_replica`` / ``live_replicas``).  Each action is
-        duck-typed, so the policy degrades to whatever the store offers.
+        The shared :class:`~repro.kv.ShardedKVStore`.  Splits and
+        migrations work on any of them; replica actions apply when
+        ``store.replication > 1`` (a
+        :class:`~repro.kv.ReplicatedKVStore`).
     factory:
-        ``factory(engine_index) -> KVStore`` building a fresh engine for
-        splits and migrations (unused on stores without them).
+        ``factory(partition_index) -> KVStore`` building a fresh
+        partition for splits and migrations — an engine, or a
+        :class:`~repro.kv.ReplicaGroup` on a replicated store.  Without
+        one, only replica actions run.
     config:
         The :class:`AutoscalerConfig` policy knobs.
     telemetry:
@@ -207,13 +207,7 @@ class Autoscaler:
     def _scale_out(self, now: float, window_p99: float, queue_depth: int) -> bool:
         store = self.store
         config = self.config
-        num_shards = getattr(store, "num_shards", 0)
-        can_split = (
-            self.factory is not None
-            and getattr(store, "begin_split", None) is not None
-            and num_shards < config.max_shards
-        )
-        if can_split:
+        if self.factory is not None and store.num_shards < config.max_shards:
             hottest = self._hottest_shard()
             self._migration = store.begin_split(hottest, self.factory)
             self._migration_label = "split"
@@ -229,13 +223,11 @@ class Autoscaler:
             return True
         if self._add_replica(now, window_p99):
             return True
-        can_migrate = (
+        if (
             self.factory is not None
-            and getattr(store, "begin_migrate", None) is not None
             and config.imbalance_threshold is not None
-            and getattr(store, "imbalance", lambda: 0.0)() > config.imbalance_threshold
-        )
-        if can_migrate:
+            and store.imbalance() > config.imbalance_threshold
+        ):
             hottest = self._hottest_shard()
             self._migration = store.begin_migrate(hottest, self.factory)
             self._migration_label = "migrate"
@@ -252,15 +244,14 @@ class Autoscaler:
         return False
 
     def _drain_cleanup(self) -> bool:
-        """One bounded post-cutover cleanup step, when the store has one.
+        """One bounded post-cutover cleanup step, when one is queued.
 
         A cutover made with ``defer_cleanup=True`` leaves the moved keys'
         physical deletes queued on the store; draining them one
         ``copy_batch``-sized chunk per tick keeps the *after* side of a
         rescale as smooth as the copy side.
         """
-        pending = getattr(self.store, "cleanup_pending", None)
-        if pending is None or not pending():
+        if not self.store.cleanup_pending():
             return False
         self.store.cleanup_step(self.config.copy_batch)
         return True
@@ -268,10 +259,7 @@ class Autoscaler:
     def _advance_migration(self, now: float) -> None:
         migration = self._migration
         if migration.copy_step(self.config.copy_batch) == 0:
-            try:
-                index = migration.cutover(defer_cleanup=True)
-            except TypeError:  # a migration object without deferred cleanup
-                index = migration.cutover()
+            index = migration.cutover(defer_cleanup=True)
             label = self._migration_label
             self._migration = None
             self._migration_label = None
@@ -289,17 +277,9 @@ class Autoscaler:
             )
             self._set_phase(f"after:{label}", now)
 
-    def _replica_surface(self) -> bool:
-        store = self.store
-        return (
-            getattr(store, "live_replicas", None) is not None
-            and getattr(store, "revive_replica", None) is not None
-            and getattr(store, "fail_replica", None) is not None
-        )
-
     def _add_replica(self, now: float, window_p99: float) -> bool:
         """Revive the first retired replica found (hinted catch-up)."""
-        if not self._replica_surface():
+        if self.store.replication <= 1:
             return False
         store = self.store
         for shard in range(store.num_shards):
@@ -325,7 +305,7 @@ class Autoscaler:
 
     def _remove_replica(self, now: float, window_p99: float) -> bool:
         """Retire one replica of the most-replicated shard (scale-in)."""
-        if not self._replica_surface():
+        if self.store.replication <= 1:
             return False
         store = self.store
         best_shard, best_live = -1, 1

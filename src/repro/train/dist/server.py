@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.embedding import EmbeddingTables
 from repro.errors import ConfigError, StalenessViolation
-from repro.kv import decode_vector, encode_vector
+from repro.kv import ParallelShardStore, ShardedKVStore, decode_vector, encode_vector
 from repro.nn.layers import Module
 from repro.nn.optim import Adam, RowAdagrad
 from repro.obs.trace import span as obs_span
@@ -318,18 +318,20 @@ class ParameterServer:
     ) -> Optional[int]:
         """Split the busiest store shard to absorb a growing fleet.
 
-        Delegates to the store's live-migration path (``split_shard``,
-        PR 4) when the backing store is sharded; plain stores have
-        nothing to split and return ``None``.  Defaults to splitting the
-        shard with the most routed operations.
+        Delegates to the store's live-migration path (``split_shard``)
+        when the backing store is a serial partitioned store — replicated
+        ones included, whose ``shard_factory`` then builds a
+        :class:`~repro.kv.replicated.ReplicaGroup`.  Plain stores have
+        nothing to split, and a process-parallel store cannot migrate
+        live; both return ``None``.  Defaults to splitting the shard with
+        the most routed operations.
         """
-        split = getattr(self.store, "split_shard", None)
-        if split is None:
+        store = self.store
+        if not isinstance(store, ShardedKVStore) or isinstance(store, ParallelShardStore):
             return None
         if shard_index is None:
-            ops = getattr(self.store, "_shard_ops", None)
-            shard_index = int(np.argmax(ops)) if ops else 0
-        return split(shard_index, shard_factory)
+            shard_index = int(np.argmax(store.balance()))
+        return store.split_shard(shard_index, shard_factory)
 
     def lost_batches(self, total: int) -> list[int]:
         """Batch indices never applied (should be empty after a run)."""
